@@ -2,10 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
-
-	"hddcart/internal/smart"
 )
 
 // The parser fuzz targets enforce the two ingest invariants the chaos
@@ -89,43 +86,6 @@ func FuzzSmartctlParse(f *testing.F) {
 		for _, re := range stats.Errors {
 			if re.Line <= 0 {
 				t.Fatalf("row error without a line number: %v", re)
-			}
-		}
-	})
-}
-
-// FuzzTraceReader feeds arbitrary bytes through the strict native reader:
-// it must never panic and every rejection must carry a usable message.
-func FuzzTraceReader(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	var rec smart.Record
-	rec.Hour = 1
-	if err := w.WriteDrive(DriveMeta{Serial: "d0", Family: "W", FailHour: -1}, []smart.Record{rec}); err != nil {
-		f.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add(strings.Join(Header(), ",") + "\n")
-	f.Fuzz(func(t *testing.T, data string) {
-		r, err := NewReader(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		drives, err := r.ReadAll()
-		if err != nil {
-			if err.Error() == "" {
-				t.Fatal("empty error message")
-			}
-			return
-		}
-		for _, dt := range drives {
-			for i := 1; i < len(dt.Records); i++ {
-				if dt.Records[i].Hour <= dt.Records[i-1].Hour {
-					t.Fatalf("drive %s accepted non-chronological rows", dt.Meta.Serial)
-				}
 			}
 		}
 	})

@@ -13,7 +13,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -110,142 +109,4 @@ func formatValue(v float64) string {
 func (w *Writer) Flush() error {
 	w.cw.Flush()
 	return w.cw.Error()
-}
-
-// Reader streams drive traces from CSV. Rows of one drive must be
-// contiguous. The native format is machine-generated, so the reader is
-// strict — any malformed row is an error — but every error it returns is a
-// RowError pinned to the offending input line.
-type Reader struct {
-	cr          *csv.Reader
-	pending     []string // first row of the next drive
-	pendingLine int      // input line of the pending row
-	eof         bool
-}
-
-// NewReader returns a Reader consuming r. It validates the header.
-func NewReader(r io.Reader) (*Reader, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(Header())
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read header: %w", err)
-	}
-	want := Header()
-	for i := range want {
-		if header[i] != want[i] {
-			return nil, fmt.Errorf("trace: header column %d is %q, want %q", i, header[i], want[i])
-		}
-	}
-	return &Reader{cr: cr}, nil
-}
-
-// Next returns the next drive's trace; io.EOF when the file is exhausted.
-func (r *Reader) Next() (DriveTrace, error) {
-	var dt DriveTrace
-	row, line := r.pending, r.pendingLine
-	r.pending = nil
-	if row == nil {
-		if r.eof {
-			return dt, io.EOF
-		}
-		var err error
-		row, err = r.cr.Read()
-		if errors.Is(err, io.EOF) {
-			return dt, io.EOF
-		}
-		if err != nil {
-			return dt, fmt.Errorf("trace: read row: %w", err)
-		}
-		line, _ = r.cr.FieldPos(0)
-	}
-	meta, rec, err := parseRow(row, line)
-	if err != nil {
-		return dt, err
-	}
-	dt.Meta = meta
-	dt.Records = append(dt.Records, rec)
-	for {
-		row, err := r.cr.Read()
-		if errors.Is(err, io.EOF) {
-			r.eof = true
-			return dt, nil
-		}
-		if err != nil {
-			return dt, fmt.Errorf("trace: read row: %w", err)
-		}
-		line, _ = r.cr.FieldPos(0)
-		if row[0] != dt.Meta.Serial {
-			r.pending, r.pendingLine = row, line
-			return dt, nil
-		}
-		_, rec, err := parseRow(row, line)
-		if err != nil {
-			return dt, err
-		}
-		if n := len(dt.Records); n > 0 && rec.Hour <= dt.Records[n-1].Hour {
-			return dt, RowError{Line: line, Serial: dt.Meta.Serial,
-				Reason: fmt.Sprintf("rows not chronological at hour %d", rec.Hour)}
-		}
-		dt.Records = append(dt.Records, rec)
-	}
-}
-
-// ReadAll consumes every drive in the stream.
-func (r *Reader) ReadAll() ([]DriveTrace, error) {
-	var out []DriveTrace
-	for {
-		dt, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, dt)
-	}
-}
-
-// ParseRow parses one data row of the native CSV layout into the drive's
-// metadata and its record, reporting failures as line-pinned RowErrors.
-// It exists for streaming consumers (the serve ingest endpoint) that
-// route rows one at a time and must keep going past a malformed row with
-// per-line accounting, where Reader's whole-drive strictness would abort
-// the batch. The row must already have len(Header()) fields.
-func ParseRow(row []string, line int) (DriveMeta, smart.Record, error) {
-	return parseRow(row, line)
-}
-
-func parseRow(row []string, line int) (DriveMeta, smart.Record, error) {
-	var meta DriveMeta
-	var rec smart.Record
-	meta.Serial = row[0]
-	meta.Family = row[1]
-	rowErr := func(format string, args ...any) error {
-		return RowError{Line: line, Serial: meta.Serial, Reason: fmt.Sprintf(format, args...)}
-	}
-	failed, err := strconv.ParseBool(row[2])
-	if err != nil {
-		return meta, rec, rowErr("bad failed flag %q: %v", row[2], err)
-	}
-	meta.Failed = failed
-	meta.FailHour, err = strconv.Atoi(row[3])
-	if err != nil {
-		return meta, rec, rowErr("bad fail_hour %q: %v", row[3], err)
-	}
-	rec.Hour, err = strconv.Atoi(row[4])
-	if err != nil {
-		return meta, rec, rowErr("bad hour %q: %v", row[4], err)
-	}
-	for i := 0; i < smart.NumAttrs; i++ {
-		rec.Normalized[i], err = strconv.ParseFloat(row[5+i], 64)
-		if err != nil {
-			return meta, rec, rowErr("bad normalized value %q: %v", row[5+i], err)
-		}
-		rec.Raw[i], err = strconv.ParseFloat(row[5+smart.NumAttrs+i], 64)
-		if err != nil {
-			return meta, rec, rowErr("bad raw value %q: %v", row[5+smart.NumAttrs+i], err)
-		}
-	}
-	return meta, rec, nil
 }

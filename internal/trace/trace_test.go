@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -150,19 +151,36 @@ func TestReaderRejectsBadHeader(t *testing.T) {
 func TestReaderRejectsBadRows(t *testing.T) {
 	header := strings.Join(Header(), ",")
 	pad := strings.Repeat(",1", 2*smart.NumAttrs)
-	cases := []string{
-		header + "\n" + "s,W,notabool,-1,0" + pad + "\n",
-		header + "\n" + "s,W,false,x,0" + pad + "\n",
-		header + "\n" + "s,W,false,-1,zz" + pad + "\n",
-		header + "\n" + "s,W,false,-1,0" + strings.Repeat(",x", 2*smart.NumAttrs) + "\n",
+	good := "s,W,false,-1,0" + pad + "\n"
+	cases := []struct {
+		rows string
+		line int
+	}{
+		{"s,W,notabool,-1,0" + pad + "\n", 2},
+		{"s,W,false,x,0" + pad + "\n", 2},
+		{"s,W,false,-1,zz" + pad + "\n", 2},
+		{"s,W,false,-1,0" + strings.Repeat(",x", 2*smart.NumAttrs) + "\n", 2},
+		// The grammar's rejections: a wrong field count, a bare quote, a
+		// stray character after a closing quote, an unterminated quote.
+		{"s,W,false,-1,0" + pad + ",extra\n", 2},
+		{good + "\n" + "s,W,false,-1,1" + pad[:len(pad)-2] + "\n", 4},
+		{good + "s,W\"x,false,-1,1" + pad + "\n", 3},
+		{good + "\"s\"x,W,false,-1,1" + pad + "\n", 3},
+		{good + "\"s\nline,W,false,-1,1" + pad + "\n", 4},
+		{"\"s\n\",W,false,-1,0" + pad + ",extra\n", 2},
 	}
-	for i, raw := range cases {
-		r, err := NewReader(strings.NewReader(raw))
-		if err != nil {
-			t.Fatalf("case %d: header rejected: %v", i, err)
-		}
-		if _, err := r.Next(); err == nil {
-			t.Errorf("case %d: bad row accepted", i)
+	for i, c := range cases {
+		for _, read := range []func(string) ([]DriveTrace, error){readAll, readNext} {
+			_, err := read(header + "\n" + c.rows)
+			var re RowError
+			if !errors.As(err, &re) {
+				t.Errorf("case %d: error %v (%T), want a RowError", i, err, err)
+			} else if re.Line != c.line {
+				t.Errorf("case %d: error at line %d, want %d: %v", i, re.Line, c.line, err)
+			}
+			if _, want := oracleRead(header + "\n" + c.rows); !reflect.DeepEqual(err, want) {
+				t.Errorf("case %d: error %v, encoding/csv oracle %v", i, err, want)
+			}
 		}
 	}
 }
