@@ -16,6 +16,26 @@ import (
 	"hddcart/internal/smart"
 )
 
+// Connection timeouts for the serve listener. A client must finish its
+// request headers within serveReadHeaderTimeout, so one that never does
+// cannot hold a connection forever; an idle keep-alive connection is
+// closed after serveIdleTimeout. Request bodies and responses are not
+// timed: a large ingest batch may legitimately stream for a long time.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds serve's listener around the service handler.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 // cmdServe runs the long-lived fleet-monitoring service: SMART batches
 // in over HTTP, routed to serial-sharded monitors, warnings out through
 // the merged feed, state snapshotted across restarts.
@@ -91,7 +111,7 @@ func cmdServe(args []string) (err error) {
 		fmt.Fprintf(os.Stderr, "serve: snapshot %s unusable, cold start (counted)\n", *snapshot)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := newHTTPServer(*addr, s.Handler())
 	errCh := make(chan error, 1)
 	//hddlint:ignore nakedgo the listener goroutine lives for the whole process; it is joined below through errCh (ListenAndServe only returns on Shutdown or a fatal listen error)
 	go func() { errCh <- httpSrv.ListenAndServe() }()

@@ -34,6 +34,22 @@ func TestServeCLIErrors(t *testing.T) {
 	}
 }
 
+// TestServeHTTPTimeouts: the listener serve builds bounds how long a
+// client may take to send its headers and how long an idle keep-alive
+// connection lives, and leaves body reads and response writes untimed.
+func TestServeHTTPTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != serveReadHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, serveReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != serveIdleTimeout || srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, serveIdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout/WriteTimeout = %v/%v, want both unset", srv.ReadTimeout, srv.WriteTimeout)
+	}
+}
+
 // TestServeSmoke boots the full service on a local port, ingests a
 // tiny batch over HTTP, then shuts it down with SIGINT and checks the
 // final state snapshot landed.

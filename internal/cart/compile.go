@@ -356,7 +356,7 @@ func (c *CompiledTree) scorePartitioned(xs [][]float64, dst, payload []float64, 
 	}
 
 	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.cur) < n {
+	if cap(sc.cur) < n || cap(sc.rows) < n { // the tiled kernels grow cur/next only
 		//hddlint:ignore hotalloc cold path: pooled scratch grows to the high-water batch size once, then every Get reuses it
 		sc.cur = make([]int32, n)
 		//hddlint:ignore hotalloc cold path: pooled scratch grows once
@@ -650,7 +650,7 @@ func AccumulateBatch(trees []*CompiledTree, xs [][]float64, dst []float64) {
 func accumulatePartitioned(trees []*CompiledTree, xs [][]float64, dst []float64, need int) bool {
 	n := len(xs)
 	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.cur) < n {
+	if cap(sc.cur) < n || cap(sc.rows) < n { // the tiled kernels grow cur/next only
 		//hddlint:ignore hotalloc cold path: pooled scratch grows to the high-water batch size once, then every Get reuses it
 		sc.cur = make([]int32, n)
 		//hddlint:ignore hotalloc cold path: pooled scratch grows once

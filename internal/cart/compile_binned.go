@@ -234,7 +234,7 @@ func (bt *BinnedTree) scorePartitioned(xs [][]uint8, dst, payload []float64, add
 	}
 
 	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.cur) < n {
+	if cap(sc.cur) < n || cap(sc.rows) < n { // the tiled kernels grow cur/next only
 		//hddlint:ignore hotalloc cold path: pooled scratch grows to the high-water batch size once, then every Get reuses it
 		sc.cur = make([]int32, n)
 		//hddlint:ignore hotalloc cold path: pooled scratch grows once
@@ -516,7 +516,7 @@ func AccumulateBatchBinned(trees []*BinnedTree, xs [][]uint8, dst []float64) {
 func accumulatePartitionedBinned(trees []*BinnedTree, xs [][]uint8, dst []float64, need int) bool {
 	n := len(xs)
 	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.cur) < n {
+	if cap(sc.cur) < n || cap(sc.rows) < n { // the tiled kernels grow cur/next only
 		//hddlint:ignore hotalloc cold path: pooled scratch grows to the high-water batch size once, then every Get reuses it
 		sc.cur = make([]int32, n)
 		//hddlint:ignore hotalloc cold path: pooled scratch grows once

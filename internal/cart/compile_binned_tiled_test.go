@@ -2,6 +2,7 @@ package cart
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"hddcart/internal/dataset"
@@ -49,6 +50,36 @@ func TestPredictTiledRangeBitIdentical(t *testing.T) {
 			if dst[i-lo] != want && !(math.IsNaN(dst[i-lo]) && math.IsNaN(want)) {
 				t.Fatalf("range [%d,%d): prob row %d = %v, want %v", lo, hi, i, dst[i-lo], want)
 			}
+		}
+	}
+}
+
+// TestBatchAfterTiledScratch: the tiled kernels grow only the pooled
+// scratch's index buffers, so a row-gathering batch call that draws the
+// same scratch next must grow its row table too instead of slicing it
+// past its capacity.
+func TestBatchAfterTiledScratch(t *testing.T) {
+	tree, bm, x, codes := binnedFixture(t, 41, 300, 6, 24)
+	ct := tree.Compile()
+	bt, err := ct.CompileBinned(bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := dataset.TileCodes(codes, bm.NumFeatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two collections empty the pool, so the tiled call draws a fresh
+	// scratch and leaves it, row table unset, for the float batch call.
+	runtime.GC()
+	runtime.GC()
+	dst := make([]float64, len(codes))
+	bt.PredictTiledRange(tm, 0, len(codes), dst)
+	rows := x[:2*minPartitionBatch]
+	ct.PredictBatch(rows, dst)
+	for i, r := range rows {
+		if want := ct.Predict(r); dst[i] != want {
+			t.Fatalf("row %d = %v, want %v", i, dst[i], want)
 		}
 	}
 }

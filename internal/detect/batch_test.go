@@ -123,7 +123,7 @@ func TestScanBatchDeterministic(t *testing.T) {
 
 // TestScoreChunkNoAlloc proves the //hddlint:noalloc contract for the
 // chunk scorer: with a caller-supplied dst, both the batch and the
-// streaming paths score without allocating.
+// per-row paths score without allocating, for float and byte rows.
 func TestScoreChunkNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")
@@ -138,5 +138,19 @@ func TestScoreChunkNoAlloc(t *testing.T) {
 	allocs = testing.AllocsPerRun(50, func() { scoreChunk(scoreModel{}, nil, false, xs, dst) })
 	if allocs != 0 {
 		t.Fatalf("streaming scoreChunk allocated %.0f times per run", allocs)
+	}
+	scores := make([]float64, nanCode)
+	for i := range scores {
+		scores[i] = xs[i][0]
+	}
+	rows, cs := codeRows(scores)
+	bc := batchCodeScorer{cs}
+	allocs = testing.AllocsPerRun(50, func() { scoreChunk(bc, bc, true, rows, dst[:len(rows)]) })
+	if allocs != 0 {
+		t.Fatalf("batched byte-row scoreChunk allocated %.0f times per run", allocs)
+	}
+	allocs = testing.AllocsPerRun(50, func() { scoreChunk(cs, nil, false, rows, dst[:len(rows)]) })
+	if allocs != 0 {
+		t.Fatalf("per-row byte-row scoreChunk allocated %.0f times per run", allocs)
 	}
 }

@@ -127,9 +127,10 @@ func TestMultiVotingBinnedMatchesFloat(t *testing.T) {
 		t.Fatalf("no windows: got %v", got)
 	}
 	// ScanAll mirrors the float conversion of indexes to outcomes.
-	fo := ref.ScanAll(series[0], series[0].Hours[len(series[0].Hours)-1])
+	failHour := series[0].Hours[len(series[0].Hours)-1]
+	fo := ref.ScanAll(series[0].X, series[0].Hours, failHour)
 	bo := (&MultiVotingBinned{Model: bt, Voters: voters, Workers: 1}).
-		ScanAll(binned[0], series[0].Hours[len(series[0].Hours)-1])
+		ScanAll(binned[0].Codes, binned[0].Hours, failHour)
 	for k := range fo {
 		if fo[k] != bo[k] {
 			t.Fatalf("ScanAll window %d: float %+v vs binned %+v", voters[k], fo[k], bo[k])

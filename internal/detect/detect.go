@@ -21,221 +21,188 @@
 package detect
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"hddcart/internal/smart"
 )
 
-// detectChunk is how many samples the batch detection paths score per model
-// call: big enough to amortize batch setup, small enough that a drive
-// alarming early doesn't pay for scoring its whole series.
-const detectChunk = 512
+// row is a detector's per-sample input: a float feature vector, or the
+// same vector quantized onto a dataset.BinnedMatrix's code space (one
+// byte per feature). Every detector, predictor interface and scoring
+// path is written once over it, so float and binned scans run the same
+// window code by construction.
+type row interface{ []float64 | []uint8 }
 
-// scoreBuf pools per-series score buffers so the batch detection paths
-// stay allocation-free across drives in steady state.
-var scoreBuf = sync.Pool{New: func() any { return new([]float64) }}
-
-// Predictor scores one feature vector: positive values mean healthy,
-// negative values mean failing. Both cart.Tree and ann.Network satisfy it.
-type Predictor interface {
-	Predict(x []float64) float64
+// predictor scores one row: positive values mean healthy, negative
+// values mean failing.
+type predictor[R row] interface {
+	Predict(x R) float64
 }
 
-// Detector scans a drive's chronological per-sample feature vectors and
-// returns the index of the first alarm, or -1 when the drive passes.
-type Detector interface {
-	Detect(xs [][]float64) int
+// batchPredictor is the optional block-scoring extension of predictor:
+// it scores xs into dst, reusing it when large enough, and returns the
+// scored slice. dst[i] must equal Predict(xs[i]) bit for bit — detectors
+// rely on that to keep batch and per-row scoring interchangeable.
+type batchPredictor[R row] interface {
+	predictor[R]
+	PredictBatch(xs []R, dst []float64) []float64
 }
 
-// validThreshold reports whether t is a usable alarm cut: scores live on
-// the ±1 classifier / health-degree scale, so any finite cut outside
-// [-1, 1] either always or never trips and is a configuration bug.
-func validThreshold(t float64) bool {
-	return !math.IsNaN(t) && t >= -1 && t <= 1
+// detector scans a drive's chronological rows and returns the index of
+// the first alarm, or -1 when the drive passes.
+type detector[R row] interface {
+	Detect(xs []R) int
 }
 
-// Voting is the paper's voting-based detector over a binary classifier.
-// The zero-configuration escape hatches (Voters < 1 acting as 1) exist for
-// literal construction in tests and experiments; production callers should
-// build detectors with NewVoting, which rejects degenerate configurations
-// outright.
-type Voting struct {
+type (
+	// Predictor scores one feature vector. cart.Tree and ann.Network
+	// satisfy it.
+	Predictor = predictor[[]float64]
+	// BatchPredictor is a Predictor that also scores whole blocks; the
+	// compiled models (cart.CompiledTree, forest.Compiled,
+	// boost.Compiled) and ann.Network implement it.
+	BatchPredictor = batchPredictor[[]float64]
+	// Detector scans a drive's feature vectors for an alarm.
+	Detector = detector[[]float64]
+	// BinnedPredictor scores one quantized code row. cart.BinnedTree,
+	// forest.Binned and boost.Binned satisfy it.
+	BinnedPredictor = predictor[[]uint8]
+	// BinnedBatchPredictor is the batch extension every binned model
+	// implements.
+	BinnedBatchPredictor = batchPredictor[[]uint8]
+	// BinnedDetector scans a drive's quantized rows for an alarm.
+	BinnedDetector = detector[[]uint8]
+)
+
+// validate rejects configurations that would silently degenerate: a nil
+// model, a non-positive window, or a threshold outside [-1, 1] — scores
+// live on the ±1 classifier / health-degree scale, so any cut outside it
+// either always or never trips and is a configuration bug.
+func validate(rule string, noModel bool, threshold float64, voters ...int) error {
+	if noModel {
+		return fmt.Errorf("detect: %s needs a model", rule)
+	}
+	for _, n := range voters {
+		if n < 1 {
+			return fmt.Errorf("detect: %s window N must be positive, got %d", rule, n)
+		}
+	}
+	if math.IsNaN(threshold) || threshold < -1 || threshold > 1 {
+		return fmt.Errorf("detect: %s threshold %v outside [-1, 1]", rule, threshold)
+	}
+	return nil
+}
+
+// validated returns d when its configuration is valid, else nil and the
+// Validate error: the shared body of every New* constructor.
+func validated[D interface{ Validate() error }](d D) (D, error) {
+	if err := d.Validate(); err != nil {
+		var zero D
+		return zero, err
+	}
+	return d, nil
+}
+
+// voting is the paper's voting-based detector over a binary classifier.
+// The zero-configuration escape hatches (Voters < 1 acting as 1) exist
+// for literal construction in tests and experiments; production callers
+// build detectors with NewVoting / NewVotingBinned, which reject
+// degenerate configurations outright.
+type voting[R row] struct {
 	// Model scores samples; a sample votes "failed" when its score is
 	// below Threshold.
-	Model Predictor
+	Model predictor[R]
 	// Voters is N, the window size. Values < 1 behave as 1.
 	Voters int
 	// Threshold is the per-sample vote cut (0 for ±1 classifiers).
 	Threshold float64
 }
 
-var _ Detector = (*Voting)(nil)
+type (
+	// Voting is the voting detector over feature vectors.
+	Voting = voting[[]float64]
+	// VotingBinned is the voting detector over quantized rows; it alarms
+	// at Voting's index wherever the two models score alike.
+	VotingBinned = voting[[]uint8]
+)
+
+var (
+	_ Detector       = (*Voting)(nil)
+	_ BinnedDetector = (*VotingBinned)(nil)
+)
 
 // NewVoting validates the configuration and returns the detector.
 func NewVoting(model Predictor, voters int, threshold float64) (*Voting, error) {
-	v := &Voting{Model: model, Voters: voters, Threshold: threshold}
-	if err := v.Validate(); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return validated(&Voting{Model: model, Voters: voters, Threshold: threshold})
 }
 
-// Validate rejects configurations that would silently degenerate: a nil
-// model, a non-positive window, or a threshold outside [-1, 1].
-func (v *Voting) Validate() error {
-	if v.Model == nil {
-		return errors.New("detect: voting needs a model")
-	}
-	if v.Voters < 1 {
-		return fmt.Errorf("detect: voting window N must be positive, got %d", v.Voters)
-	}
-	if !validThreshold(v.Threshold) {
-		return fmt.Errorf("detect: voting threshold %v outside [-1, 1]", v.Threshold)
-	}
-	return nil
+// NewVotingBinned validates the configuration and returns the detector.
+func NewVotingBinned(model BinnedBatchPredictor, voters int, threshold float64) (*VotingBinned, error) {
+	return validated(&VotingBinned{Model: model, Voters: voters, Threshold: threshold})
 }
 
-// Detect implements Detector: the first index i where more than N/2 of the
-// last N valid samples up to i vote failed (and at least N valid samples
-// exist), else -1. NaN scores are excluded from the window. When Model
-// also implements BatchPredictor the series is scored in pooled,
-// allocation-free chunks interleaved with the vote sweep (so an early
-// alarm stops scoring, like the streaming path); the per-sample
-// comparisons are unchanged, so both paths alarm at the same index.
-func (v *Voting) Detect(xs [][]float64) int {
-	n := v.Voters
-	if n < 1 {
-		n = 1
-	}
-	if bp, ok := v.Model.(BatchPredictor); ok {
-		bufp := scoreBuf.Get().(*[]float64)
-		scores := *bufp
-		if cap(scores) < len(xs) {
-			scores = make([]float64, len(xs))
-		}
-		scores = scores[:len(xs)]
-		sw := votingSweep{scores: scores, threshold: v.Threshold, n: n}
-		idx := -1
-		for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
-			hi := min(lo+detectChunk, len(xs))
-			bp.PredictBatch(xs[lo:hi], scores[lo:hi])
-			idx = sw.feed(lo, hi)
-		}
-		*bufp = scores
-		scoreBuf.Put(bufp)
-		return idx
-	}
-	votes := 0
-	window := make([]bool, 0, n)
-	for i, x := range xs {
-		s := v.Model.Predict(x)
-		if s != s {
-			continue // invalid prediction: excluded, not counted
-		}
-		failed := s < v.Threshold
-		window = append(window, failed)
-		if failed {
-			votes++
-		}
-		if len(window) > n {
-			if window[len(window)-n-1] {
-				votes--
-			}
-		}
-		if len(window) >= n && 2*votes > n {
-			return i
-		}
-	}
-	return -1
+// Validate rejects a nil model, a non-positive window, or a threshold
+// outside [-1, 1].
+func (v *voting[R]) Validate() error {
+	return validate("voting", v.Model == nil, v.Threshold, v.Voters)
 }
 
-// MeanThreshold is the health-degree detector: it alarms when the mean of
-// the last N predicted health degrees drops below Threshold. As with
-// Voting, literal construction tolerates Voters < 1; NewMeanThreshold is
-// the validating path.
-type MeanThreshold struct {
+// Detect implements the detector: the first index i where more than N/2
+// of the last N valid samples up to i vote failed (and at least N valid
+// samples exist), else -1. NaN scores are excluded from the window.
+func (v *voting[R]) Detect(xs []R) int {
+	return sweepSeries(v.Model, xs, max(v.Voters, 1), v.Threshold, false)
+}
+
+// meanThreshold is the health-degree detector: it alarms when the mean
+// of the last N predicted health degrees drops below Threshold. As with
+// voting, literal construction tolerates Voters < 1; the constructors
+// are the validating path.
+type meanThreshold[R row] struct {
 	// Model predicts health degrees in [−1, +1].
-	Model Predictor
+	Model predictor[R]
 	// Voters is N, the averaging window. Values < 1 behave as 1.
 	Voters int
 	// Threshold is the alarm cut on the window mean.
 	Threshold float64
 }
 
-var _ Detector = (*MeanThreshold)(nil)
+type (
+	// MeanThreshold is the health-degree detector over feature vectors.
+	MeanThreshold = meanThreshold[[]float64]
+	// MeanThresholdBinned is the health-degree detector over quantized
+	// rows.
+	MeanThresholdBinned = meanThreshold[[]uint8]
+)
+
+var (
+	_ Detector       = (*MeanThreshold)(nil)
+	_ BinnedDetector = (*MeanThresholdBinned)(nil)
+)
 
 // NewMeanThreshold validates the configuration and returns the detector.
 func NewMeanThreshold(model Predictor, voters int, threshold float64) (*MeanThreshold, error) {
-	m := &MeanThreshold{Model: model, Voters: voters, Threshold: threshold}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return validated(&MeanThreshold{Model: model, Voters: voters, Threshold: threshold})
 }
 
-// Validate rejects configurations that would silently degenerate: a nil
-// model, a non-positive window, or a threshold outside [-1, 1].
-func (m *MeanThreshold) Validate() error {
-	if m.Model == nil {
-		return errors.New("detect: mean-threshold needs a model")
-	}
-	if m.Voters < 1 {
-		return fmt.Errorf("detect: mean-threshold window N must be positive, got %d", m.Voters)
-	}
-	if !validThreshold(m.Threshold) {
-		return fmt.Errorf("detect: mean-threshold %v outside [-1, 1]", m.Threshold)
-	}
-	return nil
+// NewMeanThresholdBinned validates the configuration and returns the
+// detector.
+func NewMeanThresholdBinned(model BinnedBatchPredictor, voters int, threshold float64) (*MeanThresholdBinned, error) {
+	return validated(&MeanThresholdBinned{Model: model, Voters: voters, Threshold: threshold})
 }
 
-// Detect implements Detector. NaN scores are excluded from the rolling
-// window. When Model also implements BatchPredictor the series is scored
-// in pooled, allocation-free chunks interleaved with the window sweep; the
-// rolling sum adds and subtracts the same scores in the same order as the
-// streaming path, so the mean comparison is bit-identical.
-func (m *MeanThreshold) Detect(xs [][]float64) int {
-	n := m.Voters
-	if n < 1 {
-		n = 1
-	}
-	if bp, ok := m.Model.(BatchPredictor); ok {
-		bufp := scoreBuf.Get().(*[]float64)
-		scores := *bufp
-		if cap(scores) < len(xs) {
-			scores = make([]float64, len(xs))
-		}
-		scores = scores[:len(xs)]
-		sw := meanSweep{scores: scores, threshold: m.Threshold, n: n}
-		idx := -1
-		for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
-			hi := min(lo+detectChunk, len(xs))
-			bp.PredictBatch(xs[lo:hi], scores[lo:hi])
-			idx = sw.feed(lo, hi)
-		}
-		*bufp = scores
-		scoreBuf.Put(bufp)
-		return idx
-	}
-	sum := 0.0
-	scores := make([]float64, 0, len(xs))
-	for i, x := range xs {
-		s := m.Model.Predict(x)
-		if s != s {
-			continue // invalid prediction: excluded, not counted
-		}
-		scores = append(scores, s)
-		sum += s
-		if len(scores) > n {
-			sum -= scores[len(scores)-n-1]
-		}
-		if len(scores) >= n && sum/float64(n) < m.Threshold {
-			return i
-		}
-	}
-	return -1
+// Validate rejects a nil model, a non-positive window, or a threshold
+// outside [-1, 1].
+func (m *meanThreshold[R]) Validate() error {
+	return validate("mean-threshold", m.Model == nil, m.Threshold, m.Voters)
+}
+
+// Detect implements the detector: the first index where the mean of the
+// last N valid scores drops below Threshold, else -1. NaN scores are
+// excluded from the rolling window.
+func (m *meanThreshold[R]) Detect(xs []R) int {
+	return sweepSeries(m.Model, xs, max(m.Voters, 1), m.Threshold, true)
 }
 
 // Series is a drive's scored sample sequence: the feature vectors of the
@@ -308,27 +275,34 @@ type Outcome struct {
 	LeadHours int
 }
 
-// Scan runs a detector over a drive's series. failHour is the drive's
-// failure instant, or -1 for good drives.
-func Scan(d Detector, s Series, failHour int) Outcome {
-	idx := d.Detect(s.X)
+// AlarmOutcome converts an alarm index (-1 = none) into an Outcome
+// against the drive's sample hours and failure instant — the shared
+// conversion every scan path (Scan, ScanBinned, ScanAll, internal/sweep)
+// applies so a given alarm index always yields the same Outcome.
+func AlarmOutcome(hours []int, idx, failHour int) Outcome {
 	if idx < 0 {
 		return Outcome{LeadHours: -1}
 	}
-	out := Outcome{Alarmed: true, AlarmHour: s.Hours[idx], LeadHours: -1}
+	out := Outcome{Alarmed: true, AlarmHour: hours[idx], LeadHours: -1}
 	if failHour >= 0 {
 		out.LeadHours = failHour - out.AlarmHour
 	}
 	return out
 }
 
-// MultiVoting evaluates the voting detector for several window sizes in a
-// single pass over a drive's samples, scoring each sample exactly once.
-// ROC sweeps over N (the paper's Figs. 2 and 5) are ~|N| times cheaper
-// this way than running independent detectors.
-type MultiVoting struct {
+// Scan runs a detector over a drive's series. failHour is the drive's
+// failure instant, or -1 for good drives.
+func Scan(d Detector, s Series, failHour int) Outcome {
+	return AlarmOutcome(s.Hours, d.Detect(s.X), failHour)
+}
+
+// multiVoting evaluates the voting detector for several window sizes in
+// a single pass over a drive's samples, scoring each sample exactly
+// once. ROC sweeps over N (the paper's Figs. 2 and 5) are ~|N| times
+// cheaper this way than running independent detectors.
+type multiVoting[R row] struct {
 	// Model scores samples; a sample votes "failed" below Threshold.
-	Model Predictor
+	Model predictor[R]
 	// Voters lists the window sizes to evaluate (values < 1 act as 1).
 	Voters []int
 	// Threshold is the per-sample vote cut.
@@ -339,28 +313,31 @@ type MultiVoting struct {
 	Workers int
 }
 
+type (
+	// MultiVoting is the multi-window voting detector over feature
+	// vectors.
+	MultiVoting = multiVoting[[]float64]
+	// MultiVotingBinned is the multi-window voting detector over
+	// quantized rows.
+	MultiVotingBinned = multiVoting[[]uint8]
+)
+
 // NewMultiVoting validates the configuration and returns the detector.
 func NewMultiVoting(model Predictor, voters []int, threshold float64, workers int) (*MultiVoting, error) {
-	m := &MultiVoting{Model: model, Voters: voters, Threshold: threshold, Workers: workers}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return validated(&MultiVoting{Model: model, Voters: voters, Threshold: threshold, Workers: workers})
+}
+
+// NewMultiVotingBinned validates the configuration and returns the
+// detector.
+func NewMultiVotingBinned(model BinnedBatchPredictor, voters []int, threshold float64, workers int) (*MultiVotingBinned, error) {
+	return validated(&MultiVotingBinned{Model: model, Voters: voters, Threshold: threshold, Workers: workers})
 }
 
 // Validate rejects a nil model, non-positive window sizes, thresholds
 // outside [-1, 1] and negative worker counts.
-func (m *MultiVoting) Validate() error {
-	if m.Model == nil {
-		return errors.New("detect: multi-voting needs a model")
-	}
-	for _, n := range m.Voters {
-		if n < 1 {
-			return fmt.Errorf("detect: multi-voting window N must be positive, got %d", n)
-		}
-	}
-	if !validThreshold(m.Threshold) {
-		return fmt.Errorf("detect: multi-voting threshold %v outside [-1, 1]", m.Threshold)
+func (m *multiVoting[R]) Validate() error {
+	if err := validate("multi-voting", m.Model == nil, m.Threshold, m.Voters...); err != nil {
+		return err
 	}
 	if m.Workers < 0 {
 		return fmt.Errorf("detect: multi-voting workers must be non-negative, got %d", m.Workers)
@@ -373,8 +350,8 @@ func (m *MultiVoting) Validate() error {
 // scored through the model's batch path when available, fanned across up
 // to Workers goroutines. NaN scores are excluded from every window, with
 // alarm indexes reported in series coordinates — identical to running
-// Voting per window size.
-func (m *MultiVoting) DetectAll(xs [][]float64) []int {
+// the voting detector per window size.
+func (m *multiVoting[R]) DetectAll(xs []R) []int {
 	if len(m.Voters) == 0 {
 		return []int{}
 	}
@@ -383,21 +360,14 @@ func (m *MultiVoting) DetectAll(xs [][]float64) []int {
 	return multiVoteAlarms(scores, m.Voters, m.Threshold)
 }
 
-// ScanAll runs DetectAll and converts each alarm into an Outcome (as Scan
-// does for a single detector).
-func (m *MultiVoting) ScanAll(s Series, failHour int) []Outcome {
-	idxs := m.DetectAll(s.X)
+// ScanAll runs DetectAll over a drive's rows and converts each alarm
+// into an Outcome against the rows' sample hours, as Scan does for a
+// single detector.
+func (m *multiVoting[R]) ScanAll(rows []R, hours []int, failHour int) []Outcome {
+	idxs := m.DetectAll(rows)
 	out := make([]Outcome, len(idxs))
 	for i, idx := range idxs {
-		if idx < 0 {
-			out[i] = Outcome{LeadHours: -1}
-			continue
-		}
-		o := Outcome{Alarmed: true, AlarmHour: s.Hours[idx], LeadHours: -1}
-		if failHour >= 0 {
-			o.LeadHours = failHour - o.AlarmHour
-		}
-		out[i] = o
+		out[i] = AlarmOutcome(hours, idx, failHour)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math"
 	"testing"
 
 	"hddcart/internal/smart"
@@ -18,6 +19,90 @@ func series(scores ...float64) [][]float64 {
 		xs[i] = []float64{s}
 	}
 	return xs
+}
+
+// nanCode is codeScorer's NaN entry: a row carrying it scores NaN, as a
+// corrupt row does through a float model.
+const nanCode = 255
+
+// codeScorer is the byte-row counterpart of scoreModel: a code → score
+// table, scoring a row by its first code.
+type codeScorer struct{ table *[256]float64 }
+
+func (c codeScorer) Predict(codes []uint8) float64 { return c.table[codes[0]] }
+
+// batchCodeScorer is codeScorer plus the batch path.
+type batchCodeScorer struct{ codeScorer }
+
+func (c batchCodeScorer) PredictBatch(xs [][]uint8, dst []float64) []float64 {
+	dst = dst[:len(xs)]
+	for i, x := range xs {
+		dst[i] = c.Predict(x)
+	}
+	return dst
+}
+
+var _ BinnedBatchPredictor = batchCodeScorer{}
+
+// codeRows encodes at most nanCode scores as one-byte rows over a fresh
+// table: sample i gets code i, NaN samples get nanCode, so the scorer
+// reproduces scores exactly, NaN included.
+func codeRows(scores []float64) ([][]uint8, codeScorer) {
+	table := new([256]float64)
+	table[nanCode] = math.NaN()
+	rows := make([][]uint8, len(scores))
+	for i, s := range scores {
+		c := uint8(i)
+		if math.IsNaN(s) {
+			c = nanCode
+		} else {
+			table[c] = s
+		}
+		rows[i] = []uint8{c}
+	}
+	return rows, codeScorer{table}
+}
+
+// ruleInput is one way of running a detection rule over a score
+// sequence.
+type ruleInput struct {
+	name   string
+	detect func(scores []float64, n int, th float64) int
+}
+
+// ruleInputs runs the voting rule (or, with mean, the mean-threshold
+// rule) through every row type and scoring path: float rows scored per
+// row and in batches, and byte rows (codeRows) scored per row and in
+// batches. The brute-force and NaN-exclusion properties must hold on
+// every one.
+func ruleInputs(mean bool) []ruleInput {
+	float := func(m Predictor) func([]float64, int, float64) int {
+		return func(s []float64, n int, th float64) int {
+			if mean {
+				return (&MeanThreshold{Model: m, Voters: n, Threshold: th}).Detect(series(s...))
+			}
+			return (&Voting{Model: m, Voters: n, Threshold: th}).Detect(series(s...))
+		}
+	}
+	codes := func(batch bool) func([]float64, int, float64) int {
+		return func(s []float64, n int, th float64) int {
+			rows, c := codeRows(s)
+			var m BinnedPredictor = c
+			if batch {
+				m = batchCodeScorer{c}
+			}
+			if mean {
+				return (&MeanThresholdBinned{Model: m, Voters: n, Threshold: th}).Detect(rows)
+			}
+			return (&VotingBinned{Model: m, Voters: n, Threshold: th}).Detect(rows)
+		}
+	}
+	return []ruleInput{
+		{"float", float(scoreModel{})},
+		{"float-batch", float(batchScoreModel{})},
+		{"codes", codes(false)},
+		{"codes-batch", codes(true)},
+	}
 }
 
 func TestVotingSingleVoter(t *testing.T) {

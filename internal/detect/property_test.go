@@ -55,11 +55,11 @@ func TestVotingMatchesBruteForce(t *testing.T) {
 			scores[i] = rng.NormFloat64()
 		}
 		th := rng.NormFloat64() * 0.5
-		det := &Voting{Model: scoreModel{}, Voters: n, Threshold: th}
-		got := det.Detect(series(scores...))
 		want := bruteVoting(scores, n, th)
-		if got != want {
-			t.Fatalf("trial %d (n=%d): Detect=%d, brute=%d, scores=%v", trial, n, got, want, scores)
+		for _, in := range ruleInputs(false) {
+			if got := in.detect(scores, n, th); got != want {
+				t.Fatalf("%s trial %d (n=%d): Detect=%d, brute=%d, scores=%v", in.name, trial, n, got, want, scores)
+			}
 		}
 	}
 }
@@ -74,14 +74,14 @@ func TestMeanThresholdMatchesBruteForce(t *testing.T) {
 			scores[i] = rng.NormFloat64()
 		}
 		th := rng.NormFloat64() * 0.5
-		det := &MeanThreshold{Model: scoreModel{}, Voters: n, Threshold: th}
-		got := det.Detect(series(scores...))
 		want := bruteMean(scores, n, th)
 		// Floating-point summation order can differ at exact
 		// boundaries; tolerate only exact agreement of indices, which
 		// random continuous scores make safe.
-		if got != want {
-			t.Fatalf("trial %d (n=%d): Detect=%d, brute=%d", trial, n, got, want)
+		for _, in := range ruleInputs(true) {
+			if got := in.detect(scores, n, th); got != want {
+				t.Fatalf("%s trial %d (n=%d): Detect=%d, brute=%d", in.name, trial, n, got, want)
+			}
 		}
 	}
 }
@@ -161,14 +161,14 @@ func TestMultiVotingMatchesSingleDetectors(t *testing.T) {
 func TestMultiVotingScanAll(t *testing.T) {
 	s := Series{X: series(1, -1, -1, -1), Hours: []int{10, 11, 12, 13}}
 	m := &MultiVoting{Model: scoreModel{}, Voters: []int{1, 3}}
-	outs := m.ScanAll(s, 100)
+	outs := m.ScanAll(s.X, s.Hours, 100)
 	if !outs[0].Alarmed || outs[0].AlarmHour != 11 || outs[0].LeadHours != 89 {
 		t.Errorf("N=1 outcome = %+v", outs[0])
 	}
 	if !outs[1].Alarmed || outs[1].AlarmHour != 12 {
 		t.Errorf("N=3 outcome = %+v", outs[1])
 	}
-	outs = m.ScanAll(Series{X: series(1, 1), Hours: []int{1, 2}}, -1)
+	outs = m.ScanAll(series(1, 1), []int{1, 2}, -1)
 	if outs[0].Alarmed || outs[1].Alarmed {
 		t.Error("clean drive alarmed")
 	}
@@ -211,7 +211,8 @@ func saltNaN(rng *rand.Rand, scores []float64, frac float64) []float64 {
 // TestVotingExcludesNaN: a series with NaN scores must alarm exactly where
 // the same series with those samples deleted alarms (mapped back to series
 // coordinates) — invalid predictions are excluded, never counted as
-// healthy votes. Streaming, batch and multi paths must all agree.
+// healthy votes. Every row type and scoring path, and the multi-window
+// detector over both row types, must agree.
 func TestVotingExcludesNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -227,12 +228,16 @@ func TestVotingExcludesNaN(t *testing.T) {
 		if want >= 0 {
 			want = orig[want]
 		}
-		stream := (&Voting{Model: scoreModel{}, Voters: n, Threshold: th}).Detect(series(salted...))
-		batch := (&Voting{Model: batchScoreModel{}, Voters: n, Threshold: th}).Detect(series(salted...))
+		for _, in := range ruleInputs(false) {
+			if got := in.detect(salted, n, th); got != want {
+				t.Fatalf("%s trial %d (n=%d): Detect=%d, want %d", in.name, trial, n, got, want)
+			}
+		}
 		multi := (&MultiVoting{Model: scoreModel{}, Voters: []int{n}, Threshold: th}).DetectAll(series(salted...))
-		if stream != want || batch != want || multi[0] != want {
-			t.Fatalf("trial %d (n=%d): stream=%d batch=%d multi=%d, want %d",
-				trial, n, stream, batch, multi[0], want)
+		rows, codes := codeRows(salted)
+		multiCodes := (&MultiVotingBinned{Model: codes, Voters: []int{n}, Threshold: th}).DetectAll(rows)
+		if multi[0] != want || multiCodes[0] != want {
+			t.Fatalf("trial %d (n=%d): multi=%d multi-codes=%d, want %d", trial, n, multi[0], multiCodes[0], want)
 		}
 	}
 }
@@ -254,10 +259,10 @@ func TestMeanThresholdExcludesNaN(t *testing.T) {
 		if want >= 0 {
 			want = orig[want]
 		}
-		stream := (&MeanThreshold{Model: scoreModel{}, Voters: n, Threshold: th}).Detect(series(salted...))
-		batch := (&MeanThreshold{Model: batchScoreModel{}, Voters: n, Threshold: th}).Detect(series(salted...))
-		if stream != want || batch != want {
-			t.Fatalf("trial %d (n=%d): stream=%d batch=%d, want %d", trial, n, stream, batch, want)
+		for _, in := range ruleInputs(true) {
+			if got := in.detect(salted, n, th); got != want {
+				t.Fatalf("%s trial %d (n=%d): Detect=%d, want %d", in.name, trial, n, got, want)
+			}
 		}
 	}
 }

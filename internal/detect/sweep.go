@@ -1,47 +1,27 @@
 package detect
 
-// The chunked detectors — float and binned alike — interleave scoring
-// with a NaN-excluding window sweep so an early alarm stops scoring the
-// rest of a series. The sweep state lives here, shared by both input
-// types: valid scores are compacted in place into scores[:m] as the
-// sweep advances (m never catches up with the chunk being scored), so
-// the window arithmetic runs on valid samples only while the alarm index
-// stays in series coordinates. Keeping one implementation is what makes
-// the binned detectors' alarm indexes identical to the float ones by
-// construction rather than by parallel maintenance.
+// The window sweeps shared by every detector and by internal/sweep.
+// voteFeed and meanFeed advance over explicit cursor state, one chunk of
+// freshly scored samples at a time, so sweepSeries can interleave them
+// with scoring and VoteAlarm/MeanAlarm can run them once over a whole
+// pre-scored series — both bit-identical by construction. Valid scores
+// are compacted in place into scores[:m] as the sweep advances (m never
+// catches up with the chunk being scored), so the window arithmetic runs
+// on valid samples only while the alarm index stays in series
+// coordinates.
 
-// votingSweep is the voting-window state: alarm at the first index where
-// more than n/2 of the last n valid scores fall below threshold.
-type votingSweep struct {
-	scores    []float64
-	threshold float64
-	n         int
-	votes     int
-	m         int
-}
-
-// feed sweeps scores[lo:hi] (just scored by the model) and returns the
-// alarm index, or -1 to continue with the next chunk.
-func (sw *votingSweep) feed(lo, hi int) int {
-	idx, m, votes := voteFeed(sw.scores, sw.threshold, sw.n, sw.m, sw.votes, lo, hi)
-	sw.m, sw.votes = m, votes
-	return idx
-}
-
-// voteFeed is the voting sweep over explicit state: feed's body lifted
-// to a free function so the per-drive whole-series sweeps (VoteAlarm)
-// run it without materializing a votingSweep on the stack — the struct
-// build-and-copy around the method call costs more than a short series'
-// sweep. Returns the alarm index (or -1) plus the advanced cursor state.
+// voteFeed sweeps buf[lo:hi] through the voting window — alarm at the
+// first index where more than n/2 of the last n valid scores fall below
+// thr — starting from cursor m0 and vote count votes0. Returns the alarm
+// index (or -1) plus the advanced cursor state.
 //
 //hddlint:noalloc //hddlint:nobc
 func voteFeed(buf []float64, thr float64, n, m0, votes0, lo, hi int) (idx, m, votes int) {
-	// The sweep is ~1/5 of fleet-scan time, so the loop keeps its state in
-	// locals (the compiler would otherwise spill every sw field store) and
-	// writes back only at the exits. Reslicing to hi makes the loop bound
-	// the slice length, and the lo clamp proves the read index
-	// non-negative; together they kill the checks on every i/j-indexed
-	// load. The reslice keeps its own one-per-call check — it is the guard
+	// The sweep is ~1/5 of fleet-scan time, so the loop keeps its state
+	// in locals and returns it only at the exits. Reslicing to hi makes
+	// the loop bound the slice length, and the lo clamp proves the read
+	// index non-negative; together they kill the checks on every
+	// i/j-indexed load. The reslice keeps its own one-per-call check — it is the guard
 	// that validates hi against the buffer.
 	if lo < 0 {
 		lo = 0
@@ -106,27 +86,10 @@ func voteFeed(buf []float64, thr float64, n, m0, votes0, lo, hi int) (idx, m, vo
 	return -1, m, votes
 }
 
-// meanSweep is the health-degree state: alarm at the first index where
-// the mean of the last n valid scores drops below threshold. The rolling
-// sum adds and subtracts the same scores in the same order as the
-// streaming path, so the mean comparison is bit-identical.
-type meanSweep struct {
-	scores    []float64
-	threshold float64
-	n         int
-	sum       float64
-	cnt       int
-}
-
-// feed sweeps scores[lo:hi] and returns the alarm index, or -1.
-func (sw *meanSweep) feed(lo, hi int) int {
-	idx, cnt, sum := meanFeed(sw.scores, sw.threshold, sw.n, sw.cnt, sw.sum, lo, hi)
-	sw.cnt, sw.sum = cnt, sum
-	return idx
-}
-
-// meanFeed is the mean sweep over explicit state, lifted out of the
-// method for the same per-drive call economy as voteFeed.
+// meanFeed is voteFeed for the health-degree window: alarm at the first
+// index where the mean of the last n valid scores drops below thr. The
+// rolling sum adds and subtracts the scores in series order, so the mean
+// comparison is bit-identical across chunkings.
 //
 //hddlint:noalloc //hddlint:nobc
 func meanFeed(buf []float64, thr float64, n, cnt0 int, sum0 float64, lo, hi int) (idx, cnt int, sum float64) {
@@ -143,7 +106,7 @@ func meanFeed(buf []float64, thr float64, n, cnt0 int, sum0 float64, lo, hi int)
 		if s != s {
 			continue // invalid prediction: excluded, not counted
 		}
-		// cnt trails i exactly as votingSweep's m does.
+		// cnt trails i exactly as voteFeed's m does.
 		//hddlint:ignore bcecheck cnt ≤ i < hi is a sweep invariant invisible to the prove pass
 		scores[cnt] = s
 		cnt++
@@ -162,7 +125,7 @@ func meanFeed(buf []float64, thr float64, n, cnt0 int, sum0 float64, lo, hi int)
 // VoteAlarm sweeps one fully scored series through the voting window
 // state machine and returns the alarm index in series coordinates (-1 =
 // no alarm) plus the number of NaN scores the sweep excluded before
-// stopping. It is exactly VotingBinned.Detect's sweep on a pre-scored
+// stopping. It is exactly the voting detector's sweep on a pre-scored
 // series — a single feed over the whole slice is bit-identical to the
 // detector's chunked feeds — exported so internal/sweep can score whole
 // work items through the tiled kernels and still alarm at the same
@@ -182,8 +145,8 @@ func VoteAlarm(scores []float64, voters int, threshold float64) (idx, excluded i
 
 // MeanAlarm is VoteAlarm for the health-degree (mean-threshold) sweep:
 // alarm at the first index where the mean of the last voters valid
-// scores drops below threshold, bit-identical to
-// MeanThresholdBinned.Detect on the same scores. scores is mutated as in
+// scores drops below threshold, bit-identical to the mean-threshold
+// detector on the same scores. scores is mutated as in
 // VoteAlarm.
 func MeanAlarm(scores []float64, voters int, threshold float64) (idx, excluded int) {
 	if voters < 1 {
@@ -200,8 +163,8 @@ func MeanAlarm(scores []float64, voters int, threshold float64) (idx, excluded i
 // multiVoteAlarms turns one fully scored series into per-window alarm
 // indexes: invalid scores are compacted away (remembering each valid
 // score's series index), failed votes become prefix counts, and every
-// window size reads the same counts — identical to running Voting per
-// window size, at one scoring pass.
+// window size reads the same counts — identical to running the voting
+// detector per window size, at one scoring pass.
 func multiVoteAlarms(scores []float64, voters []int, threshold float64) []int {
 	out := make([]int, len(voters))
 	for i := range out {

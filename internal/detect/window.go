@@ -4,9 +4,9 @@ package detect
 // online paths: the root Monitor and the serve ingest shards both push
 // one valid score per accepted sample and ask whether the paper's
 // detection rule tripped. It is the streaming twin of the batch sweeps
-// in sweep.go — Push maintains exactly the sliding window votingSweep
-// and meanSweep reconstruct over a fully scored series, so a drive
-// observed online alarms at the same sample it would in a fleet scan.
+// in sweep.go — Push maintains exactly the sliding window voteFeed and
+// meanFeed reconstruct over a fully scored series, so a drive observed
+// online alarms at the same sample it would in a fleet scan.
 //
 // The caller owns NaN exclusion (invalid predictions must not be
 // pushed) and must use one fixed (n, threshold) pair per window; both

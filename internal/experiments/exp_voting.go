@@ -92,7 +92,7 @@ func (e *Env) votingCurve(family string, model detect.Predictor, voters []int) e
 				trace := e.fleet.Trace(d.Index)
 				if d.Failed {
 					s := detect.ExtractSeries(features, trace, 0, len(trace))
-					outs[i] = multi.ScanAll(s, d.FailHour)
+					outs[i] = multi.ScanAll(s.X, s.Hours, d.FailHour)
 					continue
 				}
 				from, to, ok := dataset.TestStart(trace, 0, simulate.HoursPerWeek, 0.7)
@@ -100,7 +100,7 @@ func (e *Env) votingCurve(family string, model detect.Predictor, voters []int) e
 					continue
 				}
 				s := detect.ExtractSeries(features, trace, from, to)
-				outs[i] = multi.ScanAll(s, -1)
+				outs[i] = multi.ScanAll(s.X, s.Hours, -1)
 			}
 		}()
 	}

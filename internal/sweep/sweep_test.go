@@ -261,6 +261,49 @@ func TestSweepDelegationEndToEnd(t *testing.T) {
 	}
 }
 
+// TestScanBatchBinnedDelegates pins that delegation really happens:
+// TestSweepDelegationEndToEnd's outcomes would also match if the
+// registered sweeper silently declined, so this test wraps the hook and
+// asserts scanDelegate accepts both binned detectors (built through the
+// public constructors) over a tiled model, and still declines a model
+// without the tiled kernels.
+func TestScanBatchBinnedDelegates(t *testing.T) {
+	var accepted []bool
+	detect.RegisterFleetSweeper(func(d detect.BinnedDetector, s []detect.BinnedSeries, fh []int, w int) ([]detect.Outcome, bool) {
+		out, ok := scanDelegate(d, s, fh, w)
+		accepted = append(accepted, ok)
+		return out, ok
+	})
+	defer detect.RegisterFleetSweeper(scanDelegate)
+
+	bt, _, _, binned, _ := sweepFixture(t, 31, 16, 24)
+	big := make([]detect.BinnedSeries, detect.SweepDelegateMin)
+	for i := range big {
+		big[i] = binned[i%len(binned)]
+	}
+	vd, err := detect.NewVotingBinned(bt, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, err := detect.NewMeanThresholdBinned(bt, 5, -0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untiled := &detect.VotingBinned{Model: untiledModel{bt}, Voters: 3}
+	for _, d := range []detect.BinnedDetector{vd, md, untiled} {
+		detect.ScanBatchBinned(d, big, nil, 2)
+	}
+	if want := []bool{true, true, false}; !reflect.DeepEqual(accepted, want) {
+		t.Fatalf("delegation accepted %v, want %v (voting, mean, untiled)", accepted, want)
+	}
+}
+
+// untiledModel hides a binned model's tiled kernels, leaving only the
+// per-row scoring a BinnedPredictor promises.
+type untiledModel struct{ m detect.BinnedPredictor }
+
+func (u untiledModel) Predict(codes []uint8) float64 { return u.m.Predict(codes) }
+
 // TestSweepEdgeCases: empty fleets, all-empty drives, and a single
 // drive must all produce well-formed results.
 func TestSweepEdgeCases(t *testing.T) {

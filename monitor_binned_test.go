@@ -1,102 +1,35 @@
 package hddcart
 
 import (
+	"strings"
 	"testing"
-
-	"hddcart/internal/cart"
 )
 
-// trainMonitorTree fits a single-feature classifier labelling values
-// below the offset (health < 0 on the test scale) as failed. The corpus
-// has three distinct values, so a 32-bin matrix is singleton-binned and
-// the binned compilation is Exact.
-func trainMonitorTree(t *testing.T) (*Tree, *BinnedMatrix) {
-	t.Helper()
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 60; i++ {
-		v := float64(monitorScoreOffset + i%3 - 1) // offset-1, offset, offset+1
-		x = append(x, []float64{v})
-		label := 1.0
-		if v < monitorScoreOffset {
-			label = -1
-		}
-		y = append(y, label)
+// TestMonitorRefusesBinnedSnapshot: monitors no longer score binned
+// codes, but snapshots written by one that did carry "binned": true in
+// their fingerprint. Restore must refuse them — the windows hold scores
+// from a different scoring path — and leave the target cold and usable,
+// so the caller counts a cold start instead of silently adopting them.
+func TestMonitorRefusesBinnedSnapshot(t *testing.T) {
+	src := newTestMonitor(t, 3, false)
+	feedRamp(src, "drive-a", 8, 2)
+	snap := encodeString(t, src)
+	if strings.Contains(snap, `"binned"`) {
+		t.Fatalf("float monitor encoded a binned field: %s", snap)
 	}
-	tree, err := cart.TrainClassifier(x, y, nil, cart.Params{MinSplit: 2, MinBucket: 1, CP: 1e-9, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	binned := strings.Replace(snap, `"bad_sample_budget":`, `"binned":true,"bad_sample_budget":`, 1)
+	if binned == snap {
+		t.Fatal("fixture: no fingerprint field to splice the binned flag next to")
 	}
-	bm, err := BinFeatureMatrix(x, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree, bm
-}
 
-// TestMonitorBinnedMatchesFloat runs the same observation stream through
-// a float-scoring and a binned-scoring monitor: warnings, hours and
-// stats must be identical (the stream's feature values are all values
-// the bins represent, where binned scores are bit-identical).
-func TestMonitorBinnedMatchesFloat(t *testing.T) {
-	tree, bm := trainMonitorTree(t)
-	newM := func(bins *BinnedMatrix) *Monitor {
-		m, err := NewMonitor(MonitorConfig{
-			Features: monitorFeatures,
-			Model:    tree,
-			Voters:   3,
-			Bins:     bins,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	m := newTestMonitor(t, 3, false)
+	if err := m.RestoreSnapshot(strings.NewReader(binned)); err == nil {
+		t.Fatal("restore accepted a binned-scoring snapshot")
 	}
-	float, binned := newM(nil), newM(bm)
-	inputs := []float64{1, 1, 0, -1, -1, 1, -1, -1, -1, 1, 1}
-	for h, v := range inputs {
-		for _, drive := range []string{"d1", "d2"} {
-			fw, fok := float.Observe(drive, recAt(h, v))
-			bw, bok := binned.Observe(drive, recAt(h, v))
-			if fok != bok || fw != bw {
-				t.Fatalf("hour %d drive %s: float (%+v,%v) vs binned (%+v,%v)", h, drive, fw, fok, bw, bok)
-			}
-		}
+	if m.Stats().Observed != 0 || m.Outstanding() != 0 {
+		t.Fatal("refused restore left state behind")
 	}
-	if float.Stats() != binned.Stats() {
-		t.Fatalf("stats diverged: float %+v vs binned %+v", float.Stats(), binned.Stats())
-	}
-	if float.Outstanding() != binned.Outstanding() {
-		t.Fatalf("outstanding diverged: %d vs %d", float.Outstanding(), binned.Outstanding())
-	}
-	for float.Outstanding() > 0 {
-		fw, _ := float.NextWarning()
-		bw, _ := binned.NextWarning()
-		if fw != bw {
-			t.Fatalf("warning queue diverged: %+v vs %+v", fw, bw)
-		}
-	}
-}
-
-// TestMonitorBinnedValidation pins the construction-time rejections of
-// the binned scoring path.
-func TestMonitorBinnedValidation(t *testing.T) {
-	tree, bm := trainMonitorTree(t)
-	// Matrix width must match the feature count.
-	wide, err := BinFeatureMatrix([][]float64{{1, 2}, {3, 4}}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewMonitor(MonitorConfig{
-		Features: monitorFeatures, Model: tree, Voters: 3, Bins: wide,
-	}); err == nil {
-		t.Error("bin matrix wider than the feature set accepted")
-	}
-	// Models without a binned form are rejected up front, not at scoring
-	// time.
-	if _, err := NewMonitor(MonitorConfig{
-		Features: monitorFeatures, Model: firstFeatureModel{}, Voters: 3, Bins: bm,
-	}); err == nil {
-		t.Error("unbinnable model accepted with Bins set")
+	if err := m.RestoreSnapshot(strings.NewReader(snap)); err != nil {
+		t.Fatalf("refused restore left the monitor unusable: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package hddcart
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -32,7 +33,9 @@ type monitorSnapshot struct {
 	HistoryHours    int     `json:"history_hours"`
 	StaleAfterHours int     `json:"stale_after_hours,omitempty"`
 	BadSampleBudget int     `json:"bad_sample_budget"`
-	Binned          bool    `json:"binned,omitempty"`
+	// Binned is only ever decoded: snapshots written by monitors that
+	// scored binned codes set it, and restore refuses them.
+	Binned bool `json:"binned,omitempty"`
 
 	// Mutable state. Drives and Warned are sorted by serial and Queue by
 	// (serial, hour) so encoding is a pure function of monitor state:
@@ -71,7 +74,6 @@ func (m *Monitor) EncodeSnapshot(w io.Writer) error {
 		HistoryHours:    m.cfg.HistoryHours,
 		StaleAfterHours: m.cfg.StaleAfterHours,
 		BadSampleBudget: m.budget,
-		Binned:          m.binned != nil,
 		Drives:          make([]driveSnapshot, 0, len(m.drives)),
 		Stats:           m.stats,
 	}
@@ -185,8 +187,8 @@ func (m *Monitor) checkFingerprint(snap *monitorSnapshot) error {
 		return fmt.Errorf("hddcart: snapshot stale timeout %d h, monitor has %d h", snap.StaleAfterHours, m.cfg.StaleAfterHours)
 	case snap.BadSampleBudget != m.budget:
 		return fmt.Errorf("hddcart: snapshot error budget %d, monitor has %d", snap.BadSampleBudget, m.budget)
-	case snap.Binned != (m.binned != nil):
-		return fmt.Errorf("hddcart: snapshot binned %v, monitor binned %v", snap.Binned, m.binned != nil)
+	case snap.Binned:
+		return errors.New("hddcart: snapshot taken by a binned-scoring monitor, which this version does not support")
 	}
 	return nil
 }
