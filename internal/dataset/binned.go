@@ -3,7 +3,10 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // MaxBinsLimit is the largest usable finite-bin count per feature: bin
@@ -27,13 +30,16 @@ type BinnedColumn struct {
 	// in [0, NumBins], where NumBins is the reserved missing code.
 	Codes []uint8
 	// Lower and Upper bound the raw values mapped into each finite bin
-	// (Lower[b] = Upper[b] for singleton bins).
+	// (Lower[b] = Upper[b] for singleton bins). A zero bound is +0.
 	Lower, Upper []float64
 	// NumBins is the finite-bin count (≤ the maxBins the column was
 	// built with); it doubles as the reserved missing code.
 	NumBins int
 	// Missing reports whether any sample carried the reserved code.
 	Missing bool
+	// upper is CodeOf's search table: the sort keys of Upper, padded to
+	// 256 entries with a key above every value.
+	upper *[256]uint64
 }
 
 // MissingCode returns the reserved bin code for NaN/missing values.
@@ -78,14 +84,23 @@ type BinnedMatrix struct {
 }
 
 // BinMatrix quantizes every column of x to at most maxBins finite bins
-// (see BinColumn for the rule). The matrix must be non-empty and
-// rectangular; maxBins must lie in [1, MaxBinsLimit].
+// (see BinColumn for the rule). The matrix must be non-empty,
+// rectangular and shorter than 2³² rows; maxBins must lie in
+// [1, MaxBinsLimit].
+//
+// Columns are binned on up to GOMAXPROCS goroutines, each claiming the
+// next unbinned feature. Every column is a pure function of its own
+// values and lands at its own index, so the matrix is identical for any
+// worker count.
 func BinMatrix(x [][]float64, maxBins int) (*BinnedMatrix, error) {
 	if maxBins < 1 || maxBins > MaxBinsLimit {
 		return nil, fmt.Errorf("dataset: maxBins %d outside [1,%d]", maxBins, MaxBinsLimit)
 	}
 	if len(x) == 0 {
 		return nil, fmt.Errorf("dataset: empty matrix")
+	}
+	if err := checkRows(len(x)); err != nil {
+		return nil, err
 	}
 	nf := len(x[0])
 	for i := range x {
@@ -94,10 +109,28 @@ func BinMatrix(x [][]float64, maxBins int) (*BinnedMatrix, error) {
 		}
 	}
 	bm := &BinnedMatrix{NumSamples: len(x), NumFeatures: nf, MaxBins: maxBins, Cols: make([]BinnedColumn, nf)}
-	for f := 0; f < nf; f++ {
-		bm.Cols[f] = BinColumn(x, f, maxBins)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), nf); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := int(next.Add(1) - 1); f < nf; f = int(next.Add(1) - 1) {
+				bm.Cols[f] = BinColumn(x, f, maxBins)
+			}
+		}()
 	}
+	wg.Wait()
 	return bm, nil
+}
+
+// checkRows refuses columns whose row indices do not fit the uint32
+// index and digit-count arrays BinColumn sorts with.
+func checkRows(n int) error {
+	if uint64(n) > math.MaxUint32 {
+		return fmt.Errorf("dataset: %d rows exceed the %d-row binning limit", n, uint64(math.MaxUint32))
+	}
+	return nil
 }
 
 // BinColumn quantizes feature f of x into at most maxBins finite bins
@@ -108,39 +141,173 @@ func BinMatrix(x [][]float64, maxBins int) (*BinnedMatrix, error) {
 // absorb runs of equal values greedily until each holds roughly an equal
 // share of the remaining samples, never splitting a run of ties across
 // two bins. The result depends only on the column's multiset of values —
-// never on sample order, worker count, or map iteration.
+// never on sample order, worker count, or map iteration. −0 and +0 are
+// one value, and a zero bin bound is always stored as +0.
+//
+// The values are sorted as order-preserving integer keys (see sortKey)
+// by an LSD radix sort that carries each key's row index, and codes are
+// assigned by walking the sorted order, so no value is searched for.
+// Scratch buffers come from a pool shared by every caller.
 //
 // Callers that parallelize across features may invoke BinColumn
-// concurrently for different f; it only reads x.
+// concurrently for different f; it only reads x. It panics on a column
+// of 2³² rows or more, which BinMatrix rejects with an error.
 func BinColumn(x [][]float64, f, maxBins int) BinnedColumn {
 	n := len(x)
+	if err := checkRows(n); err != nil {
+		panic(err)
+	}
 	col := BinnedColumn{Codes: make([]uint8, n)}
-	// Sort the finite values (±Inf included: they order normally; only
-	// NaN is unordered and goes to the reserved bin).
-	vals := make([]float64, 0, n)
+	s := binPool.Get().(*binScratch)
+	defer binPool.Put(s)
+	s.grow(n)
+	hist := &s.hist
+	*hist = [8][256]uint32{}
+	// Finite keys (±Inf included: they order normally) fill keys/idx
+	// from the front; NaN rows fill idx from the back.
+	keys, idx := s.keys[:n], s.idx[:n]
+	m, tail := 0, n
 	for i := range x {
-		if v := x[i][f]; !math.IsNaN(v) {
-			vals = append(vals, v)
-		}
-	}
-	sort.Float64s(vals)
-
-	if len(vals) > 0 {
-		col.Lower, col.Upper = binBounds(vals, maxBins)
-		col.NumBins = len(col.Upper)
-	}
-	missing := uint8(col.NumBins)
-	for i := range x {
-		v := x[i][f]
-		if math.IsNaN(v) {
-			col.Codes[i] = missing
-			col.Missing = true
+		k := sortKey(x[i][f])
+		if k == nanKey {
+			tail--
+			idx[tail] = uint32(i)
 			continue
 		}
-		// The smallest bin whose upper bound covers v.
-		col.Codes[i] = uint8(sort.SearchFloat64s(col.Upper, v))
+		keys[m], idx[m] = k, uint32(i)
+		m++
+		hist[0][uint8(k)]++
+		hist[1][uint8(k>>8)]++
+		hist[2][uint8(k>>16)]++
+		hist[3][uint8(k>>24)]++
+		hist[4][uint8(k>>32)]++
+		hist[5][uint8(k>>40)]++
+		hist[6][uint8(k>>48)]++
+		hist[7][uint8(k>>56)]++
+	}
+	keys, rows := radixSort(keys[:m], idx[:m], s.keys2[:m], s.idx2[:m], hist)
+	vals := s.vals[:m]
+	for j, k := range keys {
+		vals[j] = keyValue(k)
+	}
+	col.Lower, col.Upper = binBounds(vals, maxBins)
+	col.NumBins = len(col.Upper)
+	col.upper = upperKeys(col.Upper)
+	// The sorted keys meet the bins in order: each row takes the first
+	// bin whose upper key is not below its own.
+	var b uint8
+	for j, k := range keys {
+		for k > col.upper[b] {
+			b++
+		}
+		col.Codes[rows[j]] = b
+	}
+	if tail < n {
+		col.Missing = true
+		for _, i := range idx[tail:] {
+			col.Codes[i] = uint8(col.NumBins)
+		}
 	}
 	return col
+}
+
+// binScratch is BinColumn's working set: the keys and row indices, a
+// second pair the radix passes scatter into, the sorted values and the
+// digit counts. Buffers only grow, so one scratch serves every column
+// size it has met.
+type binScratch struct {
+	keys, keys2 []uint64
+	idx, idx2   []uint32
+	vals        []float64
+	hist        [8][256]uint32
+}
+
+var binPool = sync.Pool{New: func() any { return new(binScratch) }}
+
+func (s *binScratch) grow(n int) {
+	if cap(s.keys) >= n {
+		return
+	}
+	s.keys, s.keys2 = make([]uint64, n), make([]uint64, n)
+	s.idx, s.idx2 = make([]uint32, n), make([]uint32, n)
+	s.vals = make([]float64, n)
+}
+
+// radixSort sorts keys ascending and applies the same permutation to
+// idx: one stable counting pass per 8-bit digit, least significant
+// first, scattering into the spare pair keys2/idx2 and swapping. hist
+// holds every digit's counts over the keys (counted by the caller in its
+// read pass); it is consumed as the scatter offsets. A digit that every
+// key shares leaves the order unchanged and is skipped — for integer-
+// valued SMART columns that is most of the mantissa. It returns
+// whichever pair holds the sorted result.
+func radixSort(keys []uint64, idx []uint32, keys2 []uint64, idx2 []uint32, hist *[8][256]uint32) ([]uint64, []uint32) {
+	n := uint32(len(keys))
+	for d := 0; d < len(hist) && n > 1; d++ {
+		shift := uint(8 * d)
+		h := &hist[d]
+		if h[uint8(keys[0]>>shift)] == n {
+			continue
+		}
+		var sum uint32
+		for b, c := range h {
+			h[b] = sum
+			sum += c
+		}
+		for j, k := range keys {
+			b := uint8(k >> shift)
+			p := h[b]
+			h[b]++
+			keys2[p], idx2[p] = k, idx[j]
+		}
+		keys, keys2 = keys2, keys
+		idx, idx2 = idx2, idx
+	}
+	return keys, idx
+}
+
+const (
+	signBit = 1 << 63
+	// nanKey is every NaN's key: above +Inf's, so the upper-bound search
+	// sends NaN past every finite bin to the reserved code.
+	nanKey = math.MaxUint64
+	// posInfBits is +Inf's bit pattern; a larger magnitude is a NaN.
+	posInfBits = 0x7FF0000000000000
+)
+
+// sortKey maps a float64 onto a uint64 whose unsigned order is the
+// value order: a non-negative value's bits gain the sign bit, a negative
+// value's bits are inverted. −0 takes +0's key, so the two zeros are one
+// value, and every NaN takes nanKey. The mapping has no data-dependent
+// branch.
+func sortKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	k := b ^ (uint64(int64(b)>>63) | signBit)
+	// −0's key is signBit−1: z is zero for it alone, and it moves up one.
+	z := k ^ (signBit - 1)
+	k += 1 ^ (z|-z)>>63
+	// A magnitude above +Inf's is a NaN: the subtraction goes negative
+	// and the shift spreads its sign into an all-ones mask.
+	return k | uint64(int64(posInfBits-b&^signBit)>>63)
+}
+
+// keyValue inverts sortKey for a non-NaN key.
+func keyValue(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | signBit))
+}
+
+// upperKeys builds a column's CodeOf table: the sort keys of the bins'
+// upper bounds, padded with nanKey to 256 entries so the top pad entry
+// always stops the search at NumBins (NumBins ≤ 255).
+func upperKeys(upper []float64) *[256]uint64 {
+	t := new([256]uint64)
+	for b := range t {
+		t[b] = nanKey
+	}
+	for b, u := range upper {
+		t[b] = sortKey(u)
+	}
+	return t
 }
 
 // binBounds derives the per-bin [lower, upper] value bounds from a sorted
@@ -202,12 +369,34 @@ func distinct(a, b float64) bool { return a != b }
 // value above the top bin's upper bound also takes the reserved code —
 // it routes right at every split, which is exact for any threshold that
 // lies at or below the corpus's largest value (every threshold a trained
-// tree produces).
+// tree produces). The column must come from BinColumn.
+//
+// The lookup counts the column's upper-bound keys below v's sort key
+// with a fixed 8-step binary search over the 256-entry table. Each
+// step's compare is the borrow of a subtraction, added to the position
+// as 0 or the step size, so no branch depends on v. NaN's key lies above
+// every bound and lands on the first pad entry, NumBins.
+//
+//hddlint:noalloc //hddlint:nobc
 func (c *BinnedColumn) CodeOf(v float64) uint8 {
-	if math.IsNaN(v) {
-		return uint8(c.NumBins)
-	}
-	return uint8(sort.SearchFloat64s(c.Upper, v))
+	t, k := c.upper, sortKey(v)
+	var i uint8
+	_, b := bits.Sub64(t[i+127], k, 0)
+	i += uint8(b) << 7
+	_, b = bits.Sub64(t[i+63], k, 0)
+	i += uint8(b) << 6
+	_, b = bits.Sub64(t[i+31], k, 0)
+	i += uint8(b) << 5
+	_, b = bits.Sub64(t[i+15], k, 0)
+	i += uint8(b) << 4
+	_, b = bits.Sub64(t[i+7], k, 0)
+	i += uint8(b) << 3
+	_, b = bits.Sub64(t[i+3], k, 0)
+	i += uint8(b) << 2
+	_, b = bits.Sub64(t[i+1], k, 0)
+	i += uint8(b) << 1
+	_, b = bits.Sub64(t[i], k, 0)
+	return i + uint8(b)
 }
 
 // CutFor remaps a split threshold onto the column's code space: the cut
@@ -219,8 +408,8 @@ func (c *BinnedColumn) CodeOf(v float64) uint8 {
 // bin's [Lower, Upper] value range, where corpus values on both sides of
 // t share a code and no cut can reproduce the float comparison.
 func (c *BinnedColumn) CutFor(t float64) (cut uint8, exact bool) {
-	i := sort.SearchFloat64s(c.Upper, t)
-	return uint8(i), i == c.NumBins || t <= c.Lower[i]
+	i := c.CodeOf(t)
+	return i, int(i) == c.NumBins || t <= c.Lower[i]
 }
 
 // QuantizeRow writes x's per-feature bin codes into dst using each

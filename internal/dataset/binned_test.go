@@ -159,11 +159,15 @@ func TestBinColumnAllMissing(t *testing.T) {
 
 func TestBinColumnSampleOrderIndependent(t *testing.T) {
 	// Binning is a pure function of the value multiset: shuffling the
-	// rows must yield identical bin bounds and per-value codes.
+	// rows must yield bit-identical bin bounds and per-value codes.
 	rng := rand.New(rand.NewSource(2))
 	vals := make([]float64, 500)
 	for i := range vals {
 		vals[i] = math.Floor(rng.Float64()*50) / 50
+		if i%7 == 0 {
+			// Both zeros, so a bound's sign cannot follow sample order.
+			vals[i] = math.Copysign(0, float64(i%2*2-1))
+		}
 	}
 	x := column(vals...)
 	ref := BinColumn(x, 0, 16)
@@ -178,7 +182,8 @@ func TestBinColumnSampleOrderIndependent(t *testing.T) {
 		t.Fatalf("NumBins %d after shuffle, want %d", got.NumBins, ref.NumBins)
 	}
 	for b := 0; b < ref.NumBins; b++ {
-		if got.Lower[b] != ref.Lower[b] || got.Upper[b] != ref.Upper[b] {
+		if math.Float64bits(got.Lower[b]) != math.Float64bits(ref.Lower[b]) ||
+			math.Float64bits(got.Upper[b]) != math.Float64bits(ref.Upper[b]) {
 			t.Fatalf("bin %d bounds changed under shuffle", b)
 		}
 	}

@@ -89,26 +89,33 @@ var Catalogue = []AttrInfo{
 // NumAttrs is the number of catalogued attributes carried by each Record.
 var NumAttrs = len(Catalogue)
 
-// indexOf maps an AttrID to its position in Catalogue.
-var indexOf = func() map[AttrID]int {
-	m := make(map[AttrID]int, len(Catalogue))
-	for i, a := range Catalogue {
-		m[a.ID] = i
+// indexOf maps an AttrID to its position in Catalogue, −1 where the id
+// is not catalogued. SMART ids fit a byte and the catalogue holds fewer
+// than 128 entries, so an array replaces a map lookup on the per-record
+// feature extraction path.
+var indexOf = func() (t [256]int8) {
+	for id := range t {
+		t[id] = -1
 	}
-	return m
+	for i, a := range Catalogue {
+		t[a.ID] = int8(i)
+	}
+	return t
 }()
 
 // Index returns the position of id within the Catalogue (and therefore
 // within Record.Normalized / Record.Raw). The second result is false if the
 // attribute is not catalogued.
 func Index(id AttrID) (int, bool) {
-	i, ok := indexOf[id]
-	return i, ok
+	if uint(id) >= uint(len(indexOf)) || indexOf[id] < 0 {
+		return 0, false
+	}
+	return int(indexOf[id]), true
 }
 
 // Info returns the catalogue entry for id.
 func Info(id AttrID) (AttrInfo, bool) {
-	i, ok := indexOf[id]
+	i, ok := Index(id)
 	if !ok {
 		return AttrInfo{}, false
 	}
@@ -140,7 +147,7 @@ type Record struct {
 
 // NormalizedOf returns the normalized value of attribute id.
 func (r *Record) NormalizedOf(id AttrID) float64 {
-	i, ok := indexOf[id]
+	i, ok := Index(id)
 	if !ok {
 		return 0
 	}
@@ -149,7 +156,7 @@ func (r *Record) NormalizedOf(id AttrID) float64 {
 
 // RawOf returns the raw value of attribute id.
 func (r *Record) RawOf(id AttrID) float64 {
-	i, ok := indexOf[id]
+	i, ok := Index(id)
 	if !ok {
 		return 0
 	}

@@ -49,6 +49,43 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIndexTableMatchesCatalogue: the array lookup behind Index, Info,
+// NormalizedOf and RawOf agrees with a linear scan of Catalogue for
+// every id in [−1, 300], catalogued or not.
+func TestIndexTableMatchesCatalogue(t *testing.T) {
+	var r Record
+	for i := range r.Raw {
+		r.Raw[i] = float64(i + 1)
+		r.Normalized[i] = float64(-i - 1)
+	}
+	for id := AttrID(-1); id <= 300; id++ {
+		want := -1
+		for i, a := range Catalogue {
+			if a.ID == id {
+				want = i
+			}
+		}
+		i, ok := Index(id)
+		if ok != (want >= 0) || (ok && i != want) {
+			t.Fatalf("Index(%d) = %d, %v; catalogue position %d", id, i, ok, want)
+		}
+		info, ok := Info(id)
+		if ok != (want >= 0) || (ok && info != Catalogue[want]) {
+			t.Fatalf("Info(%d) = %+v, %v; catalogue position %d", id, info, ok, want)
+		}
+		wantRaw, wantNorm := 0.0, 0.0
+		if want >= 0 {
+			wantRaw, wantNorm = r.Raw[want], r.Normalized[want]
+		}
+		if got := r.RawOf(id); got != wantRaw {
+			t.Fatalf("RawOf(%d) = %v, want %v", id, got, wantRaw)
+		}
+		if got := r.NormalizedOf(id); got != wantNorm {
+			t.Fatalf("NormalizedOf(%d) = %v, want %v", id, got, wantNorm)
+		}
+	}
+}
+
 func TestName(t *testing.T) {
 	if got := Name(ReallocatedSectors); got != "Reallocated Sectors Count" {
 		t.Errorf("Name(5) = %q", got)
